@@ -5,9 +5,9 @@
 //! Four concurrent streams (one shard worker each, pipelined engines)
 //! issue detect and classify charges against the pool; under the Latency
 //! clock every charge holds one device slot for its simulated duration,
-//! so the single-device row serializes exactly like
-//! `DeviceModel::Exclusive` while the 4-device row lets every stream's
-//! in-flight model call sleep on its own slot. The speedup column is
+//! so the single-device row serializes every model call on one
+//! accelerator while the 4-device row lets every stream's in-flight model
+//! call sleep on its own slot. The speedup column is
 //! therefore a direct read of how much device parallelism the placement
 //! layer actually extracts from the serving stack — decode and tracker
 //! work stay host-side and are the non-scaling remainder.

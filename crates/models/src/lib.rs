@@ -47,8 +47,7 @@ pub mod wire;
 pub mod zoo;
 
 pub use clock::{
-    placement_scope, ChargeStat, Clock, ClockMode, CostUnits, DeviceModel, DeviceStat,
-    PlacementPolicy,
+    ChargeStat, Clock, ClockMode, CostUnits, DeviceModel, DeviceStat, PlacementPolicy,
 };
 pub use decode::{DecodeError, FromRow, FromValue, Row};
 pub use detection::{det_rng, Detection};

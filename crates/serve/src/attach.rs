@@ -5,10 +5,8 @@
 //! [`StreamServer::attach`] / [`StreamSupervisor::attach`] entry point per
 //! frontend accepts it.
 //!
-//! Before this module, the grid of (untyped | typed) × (live | from-past)
-//! × (server | supervisor) was eight separate methods
-//! (`attach`, `attach_typed`, `attach_from`, `attach_from_typed` on each
-//! frontend). Those survive as deprecated shims; new code composes a spec:
+//! Every cell of the (untyped | typed) × (live | from-past) ×
+//! (server | supervisor) grid is one spec passed to one method:
 //!
 //! ```no_run
 //! # use std::sync::Arc;

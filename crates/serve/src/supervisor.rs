@@ -51,10 +51,9 @@
 //! in [`crate::shard`] and is clock-agnostic; the
 //! [`DeterministicScheduler`](crate::shard::DeterministicScheduler)
 //! harness replays it on a virtual clock with a seeded interleaving, so
-//! shard scheduling is testable without threads. The previous
-//! thread-per-stream implementation survives as
-//! [`ThreadedSupervisor`](crate::ThreadedSupervisor), the equivalence
-//! suite's oracle.
+//! shard scheduling is testable without threads. The sharded suite
+//! checks every supervised stream against the same stream served alone on
+//! a bare [`StreamServer`].
 
 use crate::attach::{AttachMode, AttachSpec};
 use crate::batcher::{BatcherConfig, BatcherStats, FaultStats, ModelBatcher};
@@ -327,9 +326,8 @@ impl SupervisorConfig {
 
 /// Builds a stream's model-dispatch boundary from the supervisor config:
 /// the shared batcher's dispatch when one is configured, wrapped in retry
-/// when a [`vqpy_core::RetryPolicy`] is set. Shared by the sharded and
-/// threaded supervisors so both route model traffic identically.
-pub(crate) fn build_stream_dispatch(
+/// when a [`vqpy_core::RetryPolicy`] is set.
+fn build_stream_dispatch(
     config: &SupervisorConfig,
     batcher: Option<&ModelBatcher>,
 ) -> Option<Arc<dyn ModelDispatch>> {
@@ -682,21 +680,6 @@ impl StreamSupervisor {
         }
     }
 
-    /// Attaches a query to a supervised stream **from a past instant**.
-    ///
-    /// Deprecated spelling of
-    /// `attach(stream, AttachSpec::new(query).from(instant))`; see
-    /// [`StreamSupervisor::attach`].
-    #[deprecated(note = "use `attach` with `AttachSpec::new(query).from(instant)`")]
-    pub fn attach_from(
-        &self,
-        stream: StreamId,
-        query: Arc<Query>,
-        from: Instant,
-    ) -> Result<Subscription, AttachError> {
-        self.attach(stream, AttachSpec::new(query).from(from))
-    }
-
     /// Detaches a subscription at the next step boundary (see
     /// [`StreamServer::detach`]). Never blocked by pacing: a paced stream
     /// parked on the timer wheel picks the command up at its next step.
@@ -1041,7 +1024,7 @@ fn run_shard(
         core.advance(now_us());
         let Some(stream) = core.pop_runnable(now_us()) else {
             // Idle: wait for a command, stop, or the next timer deadline
-            // (polling band matches the threaded worker's 0.1–10 ms).
+            // (polled within a 0.1–10 ms band).
             let mut inbox = state.inbox.lock();
             if !inbox.is_empty() || state.stop.load(Ordering::Acquire) {
                 continue;
@@ -1106,9 +1089,8 @@ fn run_shard(
             }
             Err(payload) => {
                 // A panic that escaped the server's step-level containment
-                // (checkpoint/restart). In the threaded supervisor this
-                // killed the stream's thread; here it detaches only this
-                // stream — its shard siblings keep running.
+                // (checkpoint/restart). It detaches only this stream —
+                // its shard siblings keep running.
                 shared.finished.store(true, Ordering::Release);
                 let mut err = shared.error.lock();
                 if err.is_none() {
@@ -1124,9 +1106,8 @@ fn run_shard(
             }
         }
     }
-    // Stop: detach every remaining stream. `finished` stays as-is,
-    // matching the threaded supervisor, where shutdown parks workers
-    // without marking their streams finished.
+    // Stop: detach every remaining stream. `finished` stays as-is:
+    // shutdown parks streams without marking them finished.
     for (_, (shared, _)) in members.drain() {
         shared.mark_done();
     }

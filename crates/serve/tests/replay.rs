@@ -95,7 +95,7 @@ fn serve_with_store(config: &SessionConfig, fs: &Arc<FrameStore>) -> StreamServe
 
 /// From-past attach through the unified spec API, unpacked to the
 /// (subscription, replay pseudo-stream id) pair the assertions drive.
-fn attach_from(
+fn attach_past(
     server: &StreamServer,
     stream: StreamId,
     query: Arc<Query>,
@@ -153,7 +153,7 @@ fn pure_replay_matches_always_attached() {
         drain(live.into_inner());
 
         let epoch = fs.epoch();
-        let (sub, replay) = attach_from(&server, stream, Arc::clone(&query), epoch).unwrap();
+        let (sub, replay) = attach_past(&server, stream, Arc::clone(&query), epoch).unwrap();
         server.run_replay(replay).unwrap();
         let (hits, faults, agg) = drain(sub);
         assert_eq!(hits, exp_hits, "replayed hits diverged (mode {i})");
@@ -170,7 +170,7 @@ fn pure_replay_matches_always_attached() {
     }
 }
 
-/// The hybrid path: `attach_from` lands mid-stream, replays the stored
+/// The hybrid path: a from-past attach lands mid-stream, replays the stored
 /// prefix while the live stream keeps executing, and splices — through a
 /// mid-replay attach + detach recompile on the live engine. Both the
 /// replayed query and the always-attached control must stay byte-identical
@@ -200,7 +200,7 @@ fn hybrid_attach_from_splices_into_live() {
         // Attach from the origin: the stored prefix replays while the
         // live stream keeps going.
         let epoch = fs.epoch();
-        let (sub, replay) = attach_from(&server, stream, Arc::clone(&replay_query), epoch).unwrap();
+        let (sub, replay) = attach_past(&server, stream, Arc::clone(&replay_query), epoch).unwrap();
 
         // Mid-replay, churn the live plan: attach + detach another query,
         // forcing recompiles while the replay is in flight.
@@ -264,12 +264,12 @@ fn attach_from_mid_instant_delivers_suffix() {
     server.run_to_end(stream).unwrap();
     drain(warm.into_inner());
 
-    let (sub, replay) = attach_from(&server, stream, Arc::clone(&query), from).unwrap();
+    let (sub, replay) = attach_past(&server, stream, Arc::clone(&query), from).unwrap();
     server.run_replay(replay).unwrap();
     let (hits, _faults, agg) = drain(sub);
 
     // The contract boundary: first stored frame ingested at or after
-    // `from` (the same lookup attach_from performs).
+    // `from` (the same lookup a from-past attach performs).
     let ss = fs.stream(&format!("stream-{stream}")).unwrap();
     let deliver_from = ss.frame_at_or_after(fs.instant_us(from)).unwrap();
     assert!(deliver_from > 0 && deliver_from < total, "{deliver_from}");
@@ -312,7 +312,7 @@ fn corrupted_segment_recomputes_with_notice() {
     );
     corrupt_segment(&segments[0].path, SegmentCorruption::TruncateTail(37)).unwrap();
 
-    let (sub, replay) = attach_from(&server, stream, Arc::clone(&query), fs.epoch()).unwrap();
+    let (sub, replay) = attach_past(&server, stream, Arc::clone(&query), fs.epoch()).unwrap();
     server.run_replay(replay).unwrap();
     let (hits, faults, agg) = drain(sub);
     assert_eq!(hits, exp_hits, "corruption must not change results");
@@ -355,7 +355,7 @@ fn replay_racing_eviction_stays_correct() {
     server.run_to_end(stream).unwrap();
     drain(live.into_inner());
 
-    let (sub, replay) = attach_from(&server, stream, Arc::clone(&query), fs.epoch()).unwrap();
+    let (sub, replay) = attach_past(&server, stream, Arc::clone(&query), fs.epoch()).unwrap();
     // Interleave eviction with replay turns so segments disappear while
     // the replay is using the store.
     loop {
@@ -404,7 +404,7 @@ fn retention_zero_replays_by_recompute() {
     drain(live.into_inner());
     fs.enforce_retention();
 
-    let (sub, replay) = attach_from(&server, stream, Arc::clone(&query), fs.epoch()).unwrap();
+    let (sub, replay) = attach_past(&server, stream, Arc::clone(&query), fs.epoch()).unwrap();
     server.run_replay(replay).unwrap();
     let (hits, _faults, agg) = drain(sub);
     assert_eq!(hits, exp_hits);
@@ -412,14 +412,14 @@ fn retention_zero_replays_by_recompute() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Without a configured store, `attach_from` fails with the typed
+/// Without a configured store, a from-past attach fails with the typed
 /// `StoreDisabled` error.
 #[test]
 fn attach_from_without_store_is_typed_error() {
     let session = Arc::new(VqpySession::new(ModelZoo::standard()));
     let server = session.serve(ServeConfig::default());
     let stream = server.open_stream(Arc::new(video(1, 2.0)));
-    let err = attach_from(
+    let err = attach_past(
         &server,
         stream,
         color_query("RedCar", "red"),
@@ -445,7 +445,7 @@ fn detach_mid_replay_delivers_detached() {
     server.run_to_end(stream).unwrap();
     drain(live.into_inner());
 
-    let (sub, replay) = attach_from(&server, stream, Arc::clone(&query), fs.epoch()).unwrap();
+    let (sub, replay) = attach_past(&server, stream, Arc::clone(&query), fs.epoch()).unwrap();
     server.replay_step(replay).unwrap();
     // Detach via the replay pseudo-id; the live-stream id works too.
     server.detach(replay, sub.id()).unwrap();
@@ -466,7 +466,7 @@ fn detach_mid_replay_delivers_detached() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The typed wrapper delivers the same decoded rows through `attach_from`
+/// The typed wrapper delivers the same decoded rows through a from-past attach
 /// as the untyped path delivers raw.
 #[test]
 fn typed_attach_from_decodes_rows() {
@@ -516,7 +516,7 @@ fn typed_attach_from_decodes_rows() {
 }
 
 /// End-to-end through the supervisor: a shard drives both the live stream
-/// and the replay; the `attach_from` subscription converges to the
+/// and the replay; the from-past subscription converges to the
 /// always-attached baseline.
 #[test]
 fn supervisor_attach_from_end_to_end() {

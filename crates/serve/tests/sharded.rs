@@ -1,13 +1,14 @@
-//! Sharded-vs-threaded equivalence suite: the event-driven sharded
-//! [`StreamSupervisor`] must serve event sequences **byte-identical** to
-//! the thread-per-stream [`ThreadedSupervisor`] oracle, across a
-//! streams × shards grid that includes the degenerate corners (one shard
-//! for everything; more shards than streams), with and without the shared
-//! cross-stream batcher, paced and unpaced.
+//! Sharded equivalence suite: the event-driven sharded
+//! [`StreamSupervisor`] must serve every stream an event sequence
+//! **byte-identical** to the same stream served alone on a bare
+//! [`StreamServer`] and run to the end (no supervisor, no shards, no
+//! batcher), across a streams × shards grid that includes the degenerate
+//! corners (one shard for everything; more shards than streams), with and
+//! without the shared cross-stream batcher, paced and unpaced.
 //!
-//! A third implementation joins the comparison: the seeded
-//! [`DeterministicScheduler`] harness driving a bare [`StreamServer`] on a
-//! virtual clock. Its interleaving seed comes from `VQPY_SHARD_SEED`
+//! The seeded [`DeterministicScheduler`] harness driving a bare
+//! [`StreamServer`] on a virtual clock is checked against the same solo
+//! reference. Its interleaving seed comes from `VQPY_SHARD_SEED`
 //! (default 1), so CI replays the suite under several fixed seeds —
 //! identity must hold for *any* seed, which is the point: scheduling
 //! order is free, served results are not.
@@ -18,7 +19,7 @@ use vqpy_core::{Query, VqpySession};
 use vqpy_models::ModelZoo;
 use vqpy_serve::{
     BatcherConfig, DeterministicScheduler, PaceMode, ServeConfig, ServeEvent, ServeSession,
-    ShardConfig, StreamSupervisor, SupervisorConfig, ThreadedSupervisor,
+    ShardConfig, StreamSupervisor, SupervisorConfig,
 };
 use vqpy_video::source::SyntheticVideo;
 use vqpy_video::{presets, Scene};
@@ -52,32 +53,24 @@ fn collect_events(sub: vqpy_serve::Subscription) -> Vec<ServeEvent> {
     events
 }
 
-/// Serves `n` streams (video seeds `100..100+n`) on the threaded oracle
-/// and returns each stream's full event sequence.
-fn threaded_events(n: usize, config: SupervisorConfig) -> Vec<Vec<ServeEvent>> {
-    let session = Arc::new(VqpySession::new(ModelZoo::standard()));
-    let supervisor = ThreadedSupervisor::new(session, config);
-    let mut streams = Vec::new();
-    for i in 0..n {
-        let (stream, subs) = supervisor
-            .add_stream(
-                Arc::new(video(100 + i as u64, 3.0)),
-                PaceMode::Unpaced,
-                &[color_query("RedCar", "red")],
-            )
-            .unwrap();
-        streams.push((stream, subs));
-    }
-    streams
+/// The reference: each video seed served alone on a bare [`StreamServer`]
+/// and run to the end; returns each stream's full event sequence.
+fn solo_events(seeds: impl IntoIterator<Item = u64>, seconds: f64) -> Vec<Vec<ServeEvent>> {
+    seeds
         .into_iter()
-        .map(|(stream, subs)| {
-            supervisor.join_stream(stream).unwrap();
-            subs.into_iter().flat_map(collect_events).collect()
+        .map(|seed| {
+            let session = Arc::new(VqpySession::new(ModelZoo::standard()));
+            let server = session.serve(ServeConfig::default());
+            let stream = server.open_stream(Arc::new(video(seed, seconds)));
+            let sub = server.attach(stream, color_query("RedCar", "red")).unwrap();
+            server.run_to_end(stream).unwrap();
+            collect_events(sub.into_inner())
         })
         .collect()
 }
 
-/// Same streams on the sharded supervisor with an explicit shard budget.
+/// Serves `n` streams (video seeds `100..100+n`) on the sharded
+/// supervisor with an explicit shard budget.
 fn sharded_events(n: usize, shards: usize, mut config: SupervisorConfig) -> Vec<Vec<ServeEvent>> {
     config.serve.shards = shards;
     let session = Arc::new(VqpySession::new(ModelZoo::standard()));
@@ -113,13 +106,13 @@ fn sharded_events(n: usize, shards: usize, mut config: SupervisorConfig) -> Vec<
 
 /// The core grid: every (streams, shards) cell — including shards=1
 /// (everything multiplexed onto one worker) and shards > streams (idle
-/// shards) — serves event sequences byte-identical to the threaded
-/// oracle's.
+/// shards) — serves event sequences byte-identical to the solo
+/// reference's.
 #[test]
-fn sharded_matches_threaded_across_streams_by_shards_grid() {
+fn sharded_matches_solo_across_streams_by_shards_grid() {
     let seed = shard_seed();
     for &(n, shards) in &[(1usize, 1usize), (3, 1), (4, 2), (2, 8)] {
-        let expected = threaded_events(n, SupervisorConfig::default());
+        let expected = solo_events(100..100 + n as u64, 3.0);
         let got = sharded_events(n, shards, SupervisorConfig::default());
         assert_eq!(got.len(), expected.len());
         for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
@@ -135,95 +128,69 @@ fn sharded_matches_threaded_across_streams_by_shards_grid() {
 /// The shared cross-stream batcher preserves the equivalence: coalesced
 /// physical batches fill from whichever streams are runnable across
 /// shards, but per-stream event sequences stay byte-identical to the
-/// threaded supervisor's batched run.
+/// unbatched solo reference's.
 #[test]
 fn shared_batcher_preserves_equivalence_under_sharding() {
     let config = || SupervisorConfig {
         batcher: Some(BatcherConfig::default()),
         ..SupervisorConfig::default()
     };
-    let expected = threaded_events(3, config());
+    let expected = solo_events(100..103, 3.0);
     let got = sharded_events(3, 2, config());
-    assert_eq!(got, expected, "batched sharded run diverged from oracle");
+    assert_eq!(got, expected, "batched sharded run diverged from solo");
 }
 
-/// Paced streams pace identically under sharding: same events, no shed,
-/// and the pace metrics agree with the threaded supervisor's.
+/// Paced streams pace identically under sharding: the same events as
+/// the unpaced solo reference, and no shed at 5x the native frame rate.
 #[test]
-fn paced_streams_match_threaded_on_one_shard() {
-    let run = |sharded: bool| -> (Vec<Vec<ServeEvent>>, Vec<u64>) {
-        let session = Arc::new(VqpySession::new(ModelZoo::standard()));
-        let serve = ServeConfig {
+fn paced_streams_match_solo_on_one_shard() {
+    let session = Arc::new(VqpySession::new(ModelZoo::standard()));
+    let config = SupervisorConfig {
+        serve: ServeConfig {
             shards: 1,
             ..ServeConfig::default()
-        };
-        let config = SupervisorConfig {
-            serve,
-            ..SupervisorConfig::default()
-        };
-        let mut events = Vec::new();
-        let mut shed = Vec::new();
-        if sharded {
-            let sup = StreamSupervisor::new(session, config);
-            let streams: Vec<_> = (0..2)
-                .map(|i| {
-                    sup.add_stream(
-                        Arc::new(video(120 + i, 2.0)),
-                        PaceMode::Fps(150.0),
-                        &[color_query("RedCar", "red")],
-                    )
-                    .unwrap()
-                })
-                .collect();
-            for (stream, subs) in streams {
-                sup.join_stream(stream).unwrap();
-                shed.push(sup.pace_metrics(stream).unwrap().ticks_shed);
-                events.push(
-                    subs.into_iter()
-                        .flat_map(collect_events)
-                        .collect::<Vec<_>>(),
-                );
-            }
-        } else {
-            let sup = ThreadedSupervisor::new(session, config);
-            let streams: Vec<_> = (0..2)
-                .map(|i| {
-                    sup.add_stream(
-                        Arc::new(video(120 + i, 2.0)),
-                        PaceMode::Fps(150.0),
-                        &[color_query("RedCar", "red")],
-                    )
-                    .unwrap()
-                })
-                .collect();
-            for (stream, subs) in streams {
-                sup.join_stream(stream).unwrap();
-                shed.push(sup.pace_metrics(stream).unwrap().ticks_shed);
-                events.push(
-                    subs.into_iter()
-                        .flat_map(collect_events)
-                        .collect::<Vec<_>>(),
-                );
-            }
-        }
-        (events, shed)
+        },
+        ..SupervisorConfig::default()
     };
-    let (threaded, threaded_shed) = run(false);
-    let (sharded, sharded_shed) = run(true);
-    assert_eq!(sharded, threaded, "paced event sequences diverged");
-    assert_eq!(threaded_shed, vec![0, 0], "oracle must not shed at 5x pace");
-    assert_eq!(sharded_shed, vec![0, 0], "sharded run must not shed either");
+    let sup = StreamSupervisor::new(session, config);
+    let streams: Vec<_> = (0..2)
+        .map(|i| {
+            sup.add_stream(
+                Arc::new(video(120 + i, 2.0)),
+                PaceMode::Fps(150.0),
+                &[color_query("RedCar", "red")],
+            )
+            .unwrap()
+        })
+        .collect();
+    let mut sharded = Vec::new();
+    let mut shed = Vec::new();
+    for (stream, subs) in streams {
+        sup.join_stream(stream).unwrap();
+        shed.push(sup.pace_metrics(stream).unwrap().ticks_shed);
+        sharded.push(
+            subs.into_iter()
+                .flat_map(collect_events)
+                .collect::<Vec<_>>(),
+        );
+    }
+    assert_eq!(
+        sharded,
+        solo_events(120..122, 2.0),
+        "paced event sequences diverged"
+    );
+    assert_eq!(shed, vec![0, 0], "sharded run must not shed at 5x pace");
 }
 
 /// The deterministic harness drives a bare server on a virtual clock:
 /// the same `VQPY_SHARD_SEED` replays the exact step interleaving, every
-/// seed produces event sequences byte-identical to the threaded oracle,
+/// seed produces event sequences byte-identical to the solo reference,
 /// and per-stream step counts are seed-independent.
 #[test]
 fn seeded_harness_replays_and_matches_the_oracle() {
     let n = 4usize;
     let shards = 2usize;
-    let expected = threaded_events(n, SupervisorConfig::default());
+    let expected = solo_events(100..100 + n as u64, 3.0);
 
     let run = |seed: u64| -> (Vec<u64>, Vec<Vec<ServeEvent>>) {
         let session = Arc::new(VqpySession::new(ModelZoo::standard()));
@@ -249,7 +216,7 @@ fn seeded_harness_replays_and_matches_the_oracle() {
             server.step(stream).unwrap().finished
         });
         // Finishing a stream closes its channels; no explicit close, so
-        // the sequences stay comparable with the oracle's.
+        // the sequences stay comparable with the solo reference's.
         let events = streams
             .into_iter()
             .map(|(_, sub)| collect_events(sub.into_inner()))
@@ -266,7 +233,7 @@ fn seeded_harness_replays_and_matches_the_oracle() {
         let (_, events) = run(seed);
         assert_eq!(
             events, expected,
-            "harness-served events diverged from the threaded oracle at seed {seed}"
+            "harness-served events diverged from the solo reference at seed {seed}"
         );
     }
 }
