@@ -1,7 +1,6 @@
 //! Multi-stream scaling: N concurrent streams served by a
 //! `StreamSupervisor`, per-stream model batching (baseline) vs. the
-//! shared cross-stream `ModelBatcher`, on one *exclusive* simulated
-//! accelerator.
+//! shared cross-stream `ModelBatcher`, on one simulated accelerator.
 //!
 //! The resource model is the honest one for scale-out: the Latency clock
 //! serializes model charges on a single device
@@ -268,7 +267,7 @@ fn main() {
     println!(
         "{seconds:.0}s @30fps per stream, StraightCar query (non-memoizable \
          direction over every vehicle), pipelined({WORKERS}) engines, \
-         batch {BATCH_SIZE}, latency clock on one exclusive device"
+         batch {BATCH_SIZE}, latency clock on one device (Devices(1))"
     );
 
     let frames_per_stream =
@@ -397,7 +396,7 @@ fn main() {
          \"video_seconds\": {seconds:.1},\n    \"frames_per_stream\": {frames_per_stream},\n    \
          \"query\": \"StraightCar (non-memoizable direction)\",\n    \
          \"exec\": \"pipelined({WORKERS}), batch {BATCH_SIZE}, 4 batches/step\",\n    \
-         \"clock\": \"latency, exclusive device\",\n    \
+         \"clock\": \"latency, Devices(1)\",\n    \
          \"batcher\": {{\"max_batch_frames\": 64, \"window_ms\": 1, \
          \"stages\": [\"detect\", \"predict\", \"classify\"]}},\n    \
          \"sharded\": {{\"shard_budget\": {SHARD_BUDGET}, \

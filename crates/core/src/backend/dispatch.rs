@@ -17,7 +17,7 @@
 //! amortizing the fixed per-invocation dispatch overhead across streams.
 //! Because every simulated model answers deterministically per (frame,
 //! entity), routing a submission through a larger cross-stream batch never
-//! changes its results — only the charged (and, on an exclusive device,
+//! changes its results — only the charged (and, on a Latency clock,
 //! wall-realized) cost.
 //!
 //! The boundary is **fallible**: every entry point returns a

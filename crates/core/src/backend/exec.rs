@@ -2,7 +2,13 @@
 //! streams frames through them in batches, collecting per-query frame hits
 //! and video aggregates.
 //!
-//! Two drivers share the same operators and collection logic:
+//! Every driver runs the same six stages over each batch: decode, frame
+//! filters, detect, track (the tracker plus every stateful or
+//! reuse-cache-touching projection), enrich (hoisted order-free
+//! projections and filters) and tail (relation projections and joins). One
+//! stage runner serves both drivers: it opens the stage's `"exec"` span,
+//! runs the stage's operator chain and adds the elapsed wall time to the
+//! stage's [`ExecMetrics::stage_wall_ms`] bucket.
 //!
 //! - **Sequential** ([`ExecMode::Sequential`]): one thread processes the
 //!   video in batches of [`ExecConfig::batch_size`] frames, *op-major* —
@@ -10,11 +16,11 @@
 //!   before the next operator starts, so model-backed operators issue one
 //!   physical batched invocation per batch (§4.1).
 //! - **Pipelined** ([`ExecMode::Pipelined`]): the staged executor in
-//!   [`crate::backend::pipeline`] overlaps decode+frame-filters, detection,
-//!   and the stateful tail (track/project/filter/join) on dedicated threads
-//!   connected by bounded channels. Decode and detection additionally fan
-//!   out across worker threads; the tail stays sequential in frame order
-//!   because trackers, sliding windows, and the reuse cache are stateful.
+//!   [`crate::backend::pipeline`] runs the stages on dedicated threads
+//!   connected by bounded channels. Decode, detect and enrich fan out
+//!   across worker threads; frame filters, track and tail each run on one
+//!   thread in frame order, because differencing filters, trackers,
+//!   sliding windows, the reuse cache and joins are stateful.
 //!
 //! Both modes produce byte-identical query results: every simulated model
 //! answers deterministically per `(frame, entity)`, stateful operators see
@@ -34,10 +40,11 @@ use crate::backend::plan::{JoinSpec, OpSpec, PlanDag};
 use crate::backend::reuse::{ReuseCache, ReuseStats};
 use crate::backend::symbols::SymbolTable;
 use crate::error::{Result, VqpyError};
-use crate::frontend::query::Aggregate;
+use crate::frontend::query::{Aggregate, Query};
 use crate::frontend::vobj::ResolvedProperty;
 use std::collections::{BTreeSet, HashMap};
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use vqpy_models::{Clock, ModelZoo, Value};
@@ -49,9 +56,10 @@ pub enum ExecMode {
     /// Single-threaded, batch-at-a-time (the default).
     #[default]
     Sequential,
-    /// Staged pipeline: decode+frame-filters → detect → tail, on dedicated
-    /// threads with bounded channels. `workers` threads each fan out the
-    /// decode and detect stages (clamped to at least 1).
+    /// Staged pipeline: decode → frame filters → detect → track → enrich →
+    /// tail, on dedicated threads with bounded channels. `workers` threads
+    /// each fan out the decode, detect and enrich stages (clamped to at
+    /// least 1).
     Pipelined {
         /// Worker threads per parallel stage.
         workers: usize,
@@ -125,8 +133,10 @@ pub struct ExecMetrics {
     /// Virtual ms spent on each frame (only when
     /// [`ExecConfig::record_per_frame_ms`] is set; sequential mode only).
     pub per_frame_ms: Vec<f64>,
-    /// Wall-clock milliseconds per pipeline stage, plus a `"total"` entry.
-    /// Parallel stages report the *sum* of their workers' busy time.
+    /// Wall-clock milliseconds per stage (`decode`, `frame_filters`,
+    /// `detect`, `track`, `enrich`, `tail`) in both exec modes, plus a
+    /// `"total"` entry from [`execute_plan`]. Parallel stages report the
+    /// *sum* of their workers' busy time.
     pub stage_wall_ms: Vec<(String, f64)>,
 }
 
@@ -219,20 +229,6 @@ impl QueryResult {
     pub fn hit_frame_set(&self) -> BTreeSet<u64> {
         self.frame_hits.iter().map(|h| h.frame).collect()
     }
-}
-
-/// Instantiates a slice of operator specs against a clone of the plan's
-/// symbol table. The serving layer uses [`instantiate_ops_with`] instead,
-/// passing one append-only table that stays stable across recompiles.
-pub fn instantiate_ops(
-    plan: &PlanDag,
-    specs: &[OpSpec],
-    zoo: &ModelZoo,
-) -> Result<Vec<Box<dyn Operator>>> {
-    // The plan interned every name it emits; clone-and-intern keeps
-    // hand-constructed plans (tests) working too.
-    let mut syms = plan.symbols.clone();
-    instantiate_ops_with(plan, specs, zoo, &mut syms)
 }
 
 /// Instantiates operator specs, interning names into `syms`. Reuse-cache
@@ -346,14 +342,9 @@ pub struct QueryAccum {
 }
 
 impl QueryAccum {
-    /// An accumulator for one join of a plan.
-    pub fn new(join: &JoinSpec) -> Self {
-        Self::for_query(&join.query)
-    }
-
-    /// An accumulator for a query (the serving layer builds accumulators
+    /// An accumulator for one query (the serving layer builds accumulators
     /// before the super-plan containing the query exists).
-    pub fn for_query(query: &crate::frontend::query::Query) -> Self {
+    pub fn new(query: &Query) -> Self {
         let agg_alias = match query.video_output() {
             Some(Aggregate::CountDistinctTracks { alias })
             | Some(Aggregate::AvgPerFrame { alias })
@@ -418,13 +409,7 @@ impl QueryAccum {
     }
 
     /// The query's video-level aggregate over the frames observed so far.
-    pub fn video_value(&self, join: &JoinSpec) -> Option<Value> {
-        self.video_value_for(&join.query)
-    }
-
-    /// Same as [`QueryAccum::video_value`], from the query alone (the
-    /// accumulator is per-query state; the join spec adds nothing).
-    pub fn video_value_for(&self, query: &crate::frontend::query::Query) -> Option<Value> {
+    pub fn video_value(&self, query: &Query) -> Option<Value> {
         query.video_output().map(|a| match a {
             Aggregate::CountDistinctTracks { .. } => Value::Int(self.distinct_tracks.len() as i64),
             Aggregate::AvgPerFrame { .. } => {
@@ -448,7 +433,11 @@ impl Collector {
     pub fn new(plan: &PlanDag) -> Self {
         Self {
             hits: plan.joins.iter().map(|_| Vec::new()).collect(),
-            accums: plan.joins.iter().map(QueryAccum::new).collect(),
+            accums: plan
+                .joins
+                .iter()
+                .map(|j| QueryAccum::new(&j.query))
+                .collect(),
         }
     }
 
@@ -468,7 +457,7 @@ impl Collector {
             results.push(QueryResult {
                 query_name: j.query.name().to_owned(),
                 frame_hits: hits,
-                video_value: accum.video_value(j),
+                video_value: accum.video_value(&j.query),
                 metrics: metrics.clone(),
                 virtual_ms: total_ms,
             });
@@ -543,12 +532,11 @@ pub struct StageOps {
     /// survives exactly as long as the stream's operator state does.
     pub dispatch: Arc<dyn ModelDispatch>,
     /// Span tracer both drivers open stage spans on (decode,
-    /// frame-filter, detect, tail) and hand to operators via
-    /// [`ExecCtx`] for dispatch-level
-    /// spans. Defaults to a disabled tracer — one atomic load per
-    /// would-be span — and is owned here for the same reason `dispatch`
-    /// is: the serving layer installs an enabled, per-stream handle once
-    /// and it survives plan recompiles.
+    /// frame_filter, detect, track, enrich, tail) and hand to operators via
+    /// [`ExecCtx`] for dispatch-level spans. Defaults to a disabled tracer
+    /// — one atomic load per would-be span — and is owned here for the
+    /// same reason `dispatch` is: the serving layer installs an enabled,
+    /// per-stream handle once and it survives plan recompiles.
     pub tracer: vqpy_obs::Tracer,
     /// Frame-slot workspace the sequential driver fills per batch. Owned
     /// here so re-entrant segment stepping — a shard worker running one
@@ -692,166 +680,221 @@ pub fn run_segment(
     if range.is_empty() {
         return Ok(());
     }
+    let runner = StageRunner {
+        plan,
+        config,
+        clock,
+        source,
+        zoo,
+        dispatch: Arc::clone(&ops.dispatch),
+        tracer: ops.tracer.clone(),
+        busy_ns: Default::default(),
+    };
     match config.exec_mode {
-        ExecMode::Sequential => run_segment_sequential(
-            plan, source, zoo, clock, config, range, ops, reuse, metrics, sink,
-        ),
+        ExecMode::Sequential => {
+            run_segment_sequential(&runner, range, ops, reuse, metrics, sink)?;
+        }
         ExecMode::Pipelined { .. } => crate::backend::pipeline::run_segment_pipelined(
-            plan, source, zoo, clock, config, range, ops, reuse, metrics, sink,
-        ),
+            &runner, range, ops, reuse, metrics, sink,
+        )?,
+    }
+    for stage in Stage::ALL {
+        let ns = runner.busy_ns[stage as usize].load(Ordering::Relaxed);
+        metrics.add_stage_wall(stage.label(), ns as f64 / 1e6);
+    }
+    Ok(())
+}
+
+/// A stage of the operator chain, in pipeline order. Each has one span
+/// name, one `stage_wall_ms` bucket and one panic label in both drivers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Stage {
+    Decode,
+    FrameFilters,
+    Detect,
+    Track,
+    Enrich,
+    Tail,
+}
+
+impl Stage {
+    const ALL: [Stage; 6] = [
+        Stage::Decode,
+        Stage::FrameFilters,
+        Stage::Detect,
+        Stage::Track,
+        Stage::Enrich,
+        Stage::Tail,
+    ];
+
+    /// The stage's `stage_wall_ms` bucket, also the label of a contained
+    /// stage panic.
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            Stage::Decode => "decode",
+            Stage::FrameFilters => "frame_filters",
+            Stage::Detect => "detect",
+            Stage::Track => "track",
+            Stage::Enrich => "enrich",
+            Stage::Tail => "tail",
+        }
+    }
+
+    /// The stage's span name (category `"exec"`).
+    fn span(self) -> &'static str {
+        match self {
+            Stage::FrameFilters => "frame_filter",
+            stage => stage.label(),
+        }
+    }
+
+    /// Whether the stage's operators carry state across frames (frame
+    /// filters; the tracker and the reuse cache; joins), so batches must
+    /// reach it in frame order. Other stages take batches as they come.
+    pub(crate) fn ordered(self) -> bool {
+        matches!(self, Stage::FrameFilters | Stage::Track | Stage::Tail)
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_segment_sequential(
-    plan: &PlanDag,
-    source: &dyn VideoSource,
-    zoo: &ModelZoo,
-    clock: &Clock,
-    config: &ExecConfig,
-    range: Range<u64>,
-    ops: &mut StageOps,
-    reuse: &mut ReuseCache,
-    metrics: &mut ExecMetrics,
-    sink: &mut dyn ResultSink,
-) -> Result<()> {
-    // The slot workspace lives in `ops` so it survives across segment
-    // calls; detach it for the duration of the run (the stage loops need
-    // `ops`'s operator chains mutably) and put it back even on error.
-    let mut slots = std::mem::take(&mut ops.slots);
-    let result = run_sequential_batches(
-        plan, source, zoo, clock, config, range, ops, reuse, metrics, sink, &mut slots,
-    );
-    ops.slots = slots;
-    result
+/// Everything the stages of one segment run share, and the one instrument
+/// point of both drivers: [`StageRunner::decode`] and [`StageRunner::run`]
+/// open the stage's span, do its work and add the elapsed wall time to the
+/// stage's bucket. Parallel stages share one runner across their workers,
+/// so a bucket sums the workers' busy time.
+pub(crate) struct StageRunner<'a> {
+    pub(crate) plan: &'a PlanDag,
+    pub(crate) config: &'a ExecConfig,
+    clock: &'a Clock,
+    source: &'a dyn VideoSource,
+    zoo: &'a ModelZoo,
+    dispatch: Arc<dyn ModelDispatch>,
+    tracer: vqpy_obs::Tracer,
+    /// Busy nanoseconds per [`Stage`], indexed by discriminant.
+    busy_ns: [AtomicU64; Stage::ALL.len()],
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_sequential_batches(
-    plan: &PlanDag,
-    source: &dyn VideoSource,
-    zoo: &ModelZoo,
-    clock: &Clock,
-    config: &ExecConfig,
+impl StageRunner<'_> {
+    /// Decodes `frames` into the front of `slots`, reusing their buffers,
+    /// and returns how many decoded. Every frame is charged decode cost; an
+    /// undecodable one ([`vqpy_video::DecodeFault`]) is skipped, because a
+    /// decode fault is a per-frame event, not a stream-fatal one.
+    pub(crate) fn decode(&self, frames: Range<u64>, slots: &mut Vec<FrameSlot>) -> usize {
+        let started = Instant::now();
+        let mut span = self
+            .tracer
+            .span("exec", Stage::Decode.span())
+            .arg("start", frames.start)
+            .arg("end", frames.end);
+        let mut n = 0usize;
+        for f in frames {
+            self.clock
+                .charge_labeled("video_decode", vqpy_models::zoo::COST_VIDEO_DECODE);
+            let Ok(frame) = self.source.try_frame(f) else {
+                continue;
+            };
+            if n < slots.len() {
+                slots[n].reset(frame);
+            } else {
+                slots.push(FrameSlot::new(frame));
+            }
+            slots[n].prepare_joins(self.plan.joins.len());
+            n += 1;
+        }
+        span.add_arg("decoded", n);
+        self.add_busy(Stage::Decode, started);
+        n
+    }
+
+    /// Runs `stage`'s operator `chain` over the batch whose first frame
+    /// index is `start`.
+    pub(crate) fn run(
+        &self,
+        stage: Stage,
+        start: u64,
+        chain: &mut [Box<dyn Operator>],
+        slots: &mut [FrameSlot],
+        reuse: &mut ReuseCache,
+    ) -> Result<()> {
+        let started = Instant::now();
+        let _span = self
+            .tracer
+            .span("exec", stage.span())
+            .arg("start", start)
+            .arg("frames", slots.len());
+        let mut ctx = ExecCtx {
+            dispatch: &*self.dispatch,
+            tracer: &self.tracer,
+            zoo: self.zoo,
+            clock: self.clock,
+            fps: self.source.fps(),
+            reuse,
+            enable_reuse: self.config.enable_intrinsic_reuse,
+        };
+        for op in chain.iter_mut() {
+            op.process_batch(slots, &mut ctx)?;
+        }
+        self.add_busy(stage, started);
+        Ok(())
+    }
+
+    fn add_busy(&self, stage: Stage, started: Instant) {
+        let ns = started.elapsed().as_nanos() as u64;
+        self.busy_ns[stage as usize].fetch_add(ns, Ordering::Relaxed);
+    }
+}
+
+/// Runs a segment on the calling thread in batches, op-major: each stage
+/// runs over the whole batch before the next starts, so model-backed
+/// operators issue one physical batched invocation per batch.
+fn run_segment_sequential(
+    runner: &StageRunner,
     range: Range<u64>,
     ops: &mut StageOps,
     reuse: &mut ReuseCache,
     metrics: &mut ExecMetrics,
     sink: &mut dyn ResultSink,
-    slots: &mut Vec<FrameSlot>,
 ) -> Result<()> {
-    let batch = config.batch_size.max(1) as u64;
-    let dispatch = Arc::clone(&ops.dispatch);
-    let tracer = ops.tracer.clone();
+    let StageOps {
+        filters,
+        detects,
+        prep,
+        enrichs,
+        tail,
+        slots,
+        ..
+    } = ops;
+    let batch_size = runner.config.batch_size.max(1) as u64;
     let mut index = range.start;
     while index < range.end {
-        let end = (index + batch).min(range.end);
-        let batch_start_ms = clock.virtual_ms();
-        // Fill slots with the decodable frames of the batch, in order. An
-        // undecodable frame is skipped with a counter — decode faults are
-        // per-frame events, not stream-fatal — so `n` is the number of
-        // *surviving* frames in this batch.
-        let mut n = 0usize;
-        {
-            let mut span = tracer
-                .span("exec", "decode")
-                .arg("start", index)
-                .arg("end", end);
-            for f in index..end {
-                clock.charge_labeled("video_decode", vqpy_models::zoo::COST_VIDEO_DECODE);
-                let frame = match source.try_frame(f) {
-                    Ok(frame) => frame,
-                    Err(_) => {
-                        metrics.decode_failures += 1;
-                        continue;
-                    }
-                };
-                if n < slots.len() {
-                    slots[n].reset(frame);
-                } else {
-                    slots.push(FrameSlot::new(frame));
-                }
-                slots[n].prepare_joins(plan.joins.len());
-                metrics.frames_total += 1;
-                n += 1;
-            }
-            span.add_arg("decoded", n);
-        }
-        if n == 0 {
-            index = end;
-            continue;
-        }
-        {
-            let mut ctx = ExecCtx {
-                dispatch: &*dispatch,
-                tracer: &tracer,
-                zoo,
-                clock,
-                fps: source.fps(),
-                reuse,
-                enable_reuse: config.enable_intrinsic_reuse,
-            };
-            {
-                let _span = tracer
-                    .span("exec", "frame_filter")
-                    .arg("start", index)
-                    .arg("frames", n);
-                for op in ops.filters.iter_mut() {
-                    op.process_batch(&mut slots[..n], &mut ctx)?;
-                }
-            }
+        let end = (index + batch_size).min(range.end);
+        let batch_start_ms = runner.clock.virtual_ms();
+        let n = runner.decode(index..end, slots);
+        metrics.frames_total += n as u64;
+        metrics.decode_failures += (end - index) - n as u64;
+        if n > 0 {
+            let batch = &mut slots[..n];
+            runner.run(Stage::FrameFilters, index, filters, batch, reuse)?;
             // Frames alive past the frame filters count as processed.
-            metrics.frames_processed += slots[..n].iter().filter(|s| s.alive).count() as u64;
-            {
-                let _span = tracer
-                    .span("exec", "detect")
-                    .arg("start", index)
-                    .arg("frames", n);
-                for op in ops.detects[0].iter_mut() {
-                    op.process_batch(&mut slots[..n], &mut ctx)?;
-                }
+            metrics.frames_processed += batch.iter().filter(|s| s.alive).count() as u64;
+            runner.run(Stage::Detect, index, &mut detects[0], batch, reuse)?;
+            runner.run(Stage::Track, index, prep, batch, reuse)?;
+            runner.run(Stage::Enrich, index, &mut enrichs[0], batch, reuse)?;
+            runner.run(Stage::Tail, index, tail, batch, reuse)?;
+            for slot in batch.iter() {
+                sink.on_frame(runner.plan, slot)?;
             }
-            {
-                let _span = tracer
-                    .span("exec", "track")
-                    .arg("start", index)
-                    .arg("frames", n);
-                for op in ops.prep.iter_mut() {
-                    op.process_batch(&mut slots[..n], &mut ctx)?;
-                }
+            if runner.config.record_per_frame_ms {
+                // Op-major batching interleaves charges across the batch's
+                // frames, so attribute the batch's cost evenly:
+                // instrumentation must not change what is being measured
+                // (batch amortization stays on), and quarter-averaged series
+                // (Figure 13(b)) are unaffected by the within-batch
+                // smoothing.
+                let per_frame = (runner.clock.virtual_ms() - batch_start_ms) / n as f64;
+                metrics
+                    .per_frame_ms
+                    .extend(std::iter::repeat_n(per_frame, n));
             }
-            {
-                let _span = tracer
-                    .span("exec", "enrich")
-                    .arg("start", index)
-                    .arg("frames", n);
-                for op in ops.enrichs[0].iter_mut() {
-                    op.process_batch(&mut slots[..n], &mut ctx)?;
-                }
-            }
-            {
-                let _span = tracer
-                    .span("exec", "tail")
-                    .arg("start", index)
-                    .arg("frames", n);
-                for op in ops.tail.iter_mut() {
-                    op.process_batch(&mut slots[..n], &mut ctx)?;
-                }
-            }
-        }
-        for slot in &slots[..n] {
-            sink.on_frame(plan, slot)?;
-        }
-        if config.record_per_frame_ms {
-            // Op-major batching interleaves charges across the batch's
-            // frames, so attribute the batch's cost evenly: instrumentation
-            // must not change what is being measured (batch amortization
-            // stays on), and quarter-averaged series (Figure 13(b)) are
-            // unaffected by the within-batch smoothing.
-            let per_frame = (clock.virtual_ms() - batch_start_ms) / n as f64;
-            metrics
-                .per_frame_ms
-                .extend(std::iter::repeat_n(per_frame, n));
         }
         index = end;
     }

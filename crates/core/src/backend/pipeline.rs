@@ -2,7 +2,7 @@
 //!
 //! Real video-analytics engines overlap decode, detection, and downstream
 //! relational work instead of interpreting one frame at a time. This
-//! executor splits the operator chain into five stages connected by
+//! executor splits the operator chain into six stages connected by
 //! bounded channels:
 //!
 //! ```text
@@ -36,6 +36,11 @@
 //! - **Tail** (relation projections, joins) runs on the calling thread,
 //!   reordering batches back into frame order for result delivery.
 //!
+//! Every stage after decode, the tail included, is the same receive loop;
+//! stages differ only in whether it restores frame order. Stage bodies run
+//! through the same stage runner as the sequential driver, so a stage has
+//! one span and one `stage_wall_ms` bucket in both modes.
+//!
 //! Slots recycle through a return channel, so the steady state allocates no
 //! new frame workspaces. Cancellation is cooperative: every blocking send /
 //! receive polls a shared flag, so an error in any stage (or plain
@@ -50,9 +55,8 @@
 //! [`ExecMode::Pipelined`]: crate::backend::exec::ExecMode::Pipelined
 //! [`ExecMode::Sequential`]: crate::backend::exec::ExecMode::Sequential
 
-use crate::backend::exec::{ExecConfig, ExecMetrics, ResultSink, StageOps};
-use crate::backend::ops::{ExecCtx, FrameSlot};
-use crate::backend::plan::PlanDag;
+use crate::backend::exec::{ExecMetrics, ResultSink, Stage, StageOps, StageRunner};
+use crate::backend::ops::{FrameSlot, Operator};
 use crate::backend::reuse::ReuseCache;
 use crate::error::{panic_message, Result, VqpyError};
 use parking_lot::Mutex;
@@ -61,12 +65,20 @@ use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::time::{Duration, Instant};
-use vqpy_models::{Clock, ModelZoo};
-use vqpy_video::source::VideoSource;
+use std::time::Duration;
 
 /// A batch of slots tagged with its sequence number.
 type Batch = (u64, Vec<FrameSlot>);
+
+/// The stages fed through a channel, in pipeline order: channel `i` of the
+/// chain carries batches into `FED[i]`, and decode feeds channel 0.
+const FED: [Stage; 5] = [
+    Stage::FrameFilters,
+    Stage::Detect,
+    Stage::Track,
+    Stage::Enrich,
+    Stage::Tail,
+];
 
 const POLL: Duration = Duration::from_millis(1);
 const RECV_POLL: Duration = Duration::from_millis(20);
@@ -104,7 +116,7 @@ fn recv_coop<T>(rx: &Mutex<Receiver<T>>, cancel: &AtomicBool) -> Option<T> {
     }
 }
 
-/// Reorders sequence-tagged batches back into sequence order.
+/// Holds sequence-tagged batches until a stage takes them.
 struct Reorder {
     pending: BTreeMap<u64, Vec<FrameSlot>>,
     next: u64,
@@ -122,41 +134,35 @@ impl Reorder {
         self.pending.insert(batch.0, batch.1);
     }
 
-    fn pop_ready(&mut self) -> Option<Batch> {
-        if self.pending.contains_key(&self.next) {
-            let b = self.pending.remove(&self.next).expect("checked");
-            let seq = self.next;
-            self.next += 1;
-            return Some((seq, b));
+    /// The next batch in sequence order when `ordered` (`None` until it
+    /// arrives), else any held batch.
+    fn pop(&mut self, ordered: bool) -> Option<Batch> {
+        if !ordered {
+            return self.pending.pop_first();
         }
-        None
+        let slots = self.pending.remove(&self.next)?;
+        self.next += 1;
+        Some((self.next - 1, slots))
     }
 }
 
-/// Per-stage busy-time accounting (nanoseconds, summed across workers).
+/// Cooperative cancellation plus the first error any stage hit.
 #[derive(Default)]
-struct StageNanos {
-    decode: AtomicU64,
-    frame_filters: AtomicU64,
-    detect: AtomicU64,
-    track: AtomicU64,
-    enrich: AtomicU64,
-    tail: AtomicU64,
+struct Control {
+    cancel: AtomicBool,
+    error: Mutex<Option<VqpyError>>,
 }
 
-fn timed<R>(bucket: &AtomicU64, f: impl FnOnce() -> R) -> R {
-    let t = Instant::now();
-    let r = f();
-    bucket.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    r
-}
-
-fn set_error(slot: &Mutex<Option<VqpyError>>, cancel: &AtomicBool, e: VqpyError) {
-    let mut guard = slot.lock();
-    if guard.is_none() {
-        *guard = Some(e);
+impl Control {
+    /// Records `e` unless an earlier error was recorded, and cancels every
+    /// stage.
+    fn fail(&self, e: VqpyError) {
+        let mut guard = self.error.lock();
+        if guard.is_none() {
+            *guard = Some(e);
+        }
+        self.cancel.store(true, Ordering::Relaxed);
     }
-    cancel.store(true, Ordering::Relaxed);
 }
 
 /// Runs a stage body, converting a panic into a typed
@@ -164,15 +170,42 @@ fn set_error(slot: &Mutex<Option<VqpyError>>, cancel: &AtomicBool, e: VqpyError)
 /// scope: a panicking scoped thread would re-raise at scope exit *after*
 /// the other stages wind down on channel disconnects — but a thread parked
 /// on a channel whose peer is still alive would never observe the
-/// disconnect, so containment-plus-`set_error` (which flips `cancel`) is
+/// disconnect, so containment-plus-[`Control::fail`] (which cancels) is
 /// the only ordering that is deadlock-free for every stage.
-fn contain<R>(stage: &'static str, f: impl FnOnce() -> Result<R>) -> Result<R> {
+fn contain<R>(stage: Stage, f: impl FnOnce() -> Result<R>) -> Result<R> {
     catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|p| {
         Err(VqpyError::StagePanic {
-            stage,
+            stage: stage.label(),
             message: panic_message(&*p),
         })
     })
+}
+
+/// Drives one stage on one thread: takes batches off `rx` — in sequence
+/// order when the stage is [ordered](Stage::ordered) — runs `body` on each
+/// under panic containment, and hands the batch to `emit`. Returns when
+/// the input runs dry or is cancelled, when `emit` refuses, or when a body
+/// fails, which records the error and cancels the pipeline.
+fn pump(
+    stage: Stage,
+    rx: &Mutex<Receiver<Batch>>,
+    ctl: &Control,
+    mut body: impl FnMut(&mut Batch) -> Result<()>,
+    mut emit: impl FnMut(Batch) -> bool,
+) {
+    let mut reorder = Reorder::new();
+    while let Some(batch) = recv_coop(rx, &ctl.cancel) {
+        reorder.push(batch);
+        while let Some(mut batch) = reorder.pop(stage.ordered()) {
+            if let Err(e) = contain(stage, || body(&mut batch)) {
+                ctl.fail(e);
+                return;
+            }
+            if !emit(batch) {
+                return;
+            }
+        }
+    }
 }
 
 /// Runs one contiguous frame segment through the staged pipeline. Called by
@@ -182,13 +215,8 @@ fn contain<R>(stage: &'static str, f: impl FnOnce() -> Result<R>) -> Result<R> {
 /// The worker count is `ops.detects.len()` (fixed at instantiation).
 ///
 /// [`Pipelined`]: crate::backend::exec::ExecMode::Pipelined
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_segment_pipelined(
-    plan: &PlanDag,
-    source: &dyn VideoSource,
-    zoo: &ModelZoo,
-    clock: &Clock,
-    config: &ExecConfig,
+    runner: &StageRunner,
     range: Range<u64>,
     ops: &mut StageOps,
     reuse: &mut ReuseCache,
@@ -196,375 +224,135 @@ pub(crate) fn run_segment_pipelined(
     sink: &mut dyn ResultSink,
 ) -> Result<()> {
     let workers = ops.detects.len().max(1);
-    let dispatch = std::sync::Arc::clone(&ops.dispatch);
-    let tracer = ops.tracer.clone();
-    let filter_ops = &mut ops.filters;
-    let detect_ops_per_worker = &mut ops.detects;
-    let prep_ops = &mut ops.prep;
-    let enrich_ops_per_worker = &mut ops.enrichs;
-    let tail_ops = &mut ops.tail;
+    let batch = runner.config.batch_size.max(1) as u64;
+    let (first, end) = (range.start, range.end);
+    let num_batches = (end - first).div_ceil(batch);
+    let start = move |seq: u64| first + seq * batch;
 
-    let batch = config.batch_size.max(1) as u64;
-    let num_batches = (range.end - range.start).div_ceil(batch);
-    let joins = plan.joins.len();
-
-    // ---- channels ---------------------------------------------------------
     let depth = workers * 2 + 2;
-    let (decoded_tx, decoded_rx) = sync_channel::<Batch>(depth);
-    let (filtered_tx, filtered_rx) = sync_channel::<Batch>(depth);
-    let (detected_tx, detected_rx) = sync_channel::<Batch>(depth);
-    let (prepped_tx, prepped_rx) = sync_channel::<Batch>(depth);
-    let (enriched_tx, enriched_rx) = sync_channel::<Batch>(depth);
+    let (txs, rxs): (Vec<SyncSender<Batch>>, Vec<_>) =
+        FED.iter().map(|_| sync_channel::<Batch>(depth)).unzip();
+    let rxs: Vec<Mutex<Receiver<Batch>>> = rxs.into_iter().map(Mutex::new).collect();
     let (recycle_tx, recycle_rx) = std::sync::mpsc::channel::<Vec<FrameSlot>>();
-    let decoded_rx = Mutex::new(decoded_rx);
-    let filtered_rx = Mutex::new(filtered_rx);
-    let detected_rx = Mutex::new(detected_rx);
-    let prepped_rx = Mutex::new(prepped_rx);
     let recycle_rx = Mutex::new(recycle_rx);
 
-    let cancel = AtomicBool::new(false);
-    let error: Mutex<Option<VqpyError>> = Mutex::new(None);
+    let ctl = Control::default();
     let next_batch = AtomicU64::new(0);
-    let stages = StageNanos::default();
     let frames_processed = AtomicU64::new(0);
-    let decode_failures = AtomicU64::new(0);
+    let delivered_before = metrics.frames_total;
+
+    let StageOps {
+        filters,
+        detects,
+        prep,
+        enrichs,
+        tail,
+        ..
+    } = ops;
+    // One operator chain per thread of each stage between decode and tail.
+    let lanes: [Vec<&mut Vec<Box<dyn Operator>>>; 4] = [
+        vec![filters],
+        detects.iter_mut().collect(),
+        vec![prep],
+        enrichs.iter_mut().collect(),
+    ];
+    // The track stage owns the stream's real reuse cache for the segment:
+    // it sees frames in order, so the cache's hit/eviction sequence stays
+    // byte-identical to sequential execution. The other stages never
+    // consult the cache and run with an empty stand-in.
+    let mut track_reuse = Some(reuse);
 
     std::thread::scope(|scope| {
-        // ---- stage 1a: decode workers (parallel, unordered) --------------
+        // Decode workers (parallel, unordered): each claims the next batch
+        // index and ships the batch's decodable frames.
         for _ in 0..workers {
-            let decoded_tx = decoded_tx.clone();
-            let (cancel, stages, next_batch, recycle_rx, error, decode_failures) = (
-                &cancel,
-                &stages,
-                &next_batch,
-                &recycle_rx,
-                &error,
-                &decode_failures,
-            );
-            let tracer = &tracer;
+            let tx = txs[0].clone();
+            let (ctl, next_batch, recycle_rx) = (&ctl, &next_batch, &recycle_rx);
             scope.spawn(move || loop {
-                if cancel.load(Ordering::Relaxed) {
+                if ctl.cancel.load(Ordering::Relaxed) {
                     break;
                 }
                 let b = next_batch.fetch_add(1, Ordering::Relaxed);
                 if b >= num_batches {
                     break;
                 }
-                let lo = range.start + b * batch;
-                let hi = (lo + batch).min(range.end);
+                let lo = start(b);
+                let hi = (lo + batch).min(end);
                 let mut slots = recycle_rx.lock().try_recv().unwrap_or_default();
-                let outcome = contain("decode", || {
-                    timed(&stages.decode, || {
-                        let mut span = tracer
-                            .span("exec", "decode")
-                            .arg("start", lo)
-                            .arg("end", hi);
-                        // An undecodable frame is skipped with a counter;
-                        // the batch ships with its surviving frames only.
-                        let mut n = 0usize;
-                        for f in lo..hi {
-                            clock.charge_labeled(
-                                "video_decode",
-                                vqpy_models::zoo::COST_VIDEO_DECODE,
-                            );
-                            let frame = match source.try_frame(f) {
-                                Ok(frame) => frame,
-                                Err(_) => {
-                                    decode_failures.fetch_add(1, Ordering::Relaxed);
-                                    continue;
-                                }
-                            };
-                            if n < slots.len() {
-                                slots[n].reset(frame);
-                            } else {
-                                slots.push(FrameSlot::new(frame));
-                            }
-                            slots[n].prepare_joins(joins);
-                            n += 1;
-                        }
-                        slots.truncate(n);
-                        span.add_arg("decoded", n);
-                    });
-                    Ok(())
-                });
-                if let Err(e) = outcome {
-                    set_error(error, cancel, e);
-                    break;
+                match contain(Stage::Decode, || Ok(runner.decode(lo..hi, &mut slots))) {
+                    Ok(n) => slots.truncate(n),
+                    Err(e) => {
+                        ctl.fail(e);
+                        break;
+                    }
                 }
-                if !send_coop(&decoded_tx, (b, slots), cancel) {
+                if !send_coop(&tx, (b, slots), &ctl.cancel) {
                     break;
                 }
             });
         }
-        drop(decoded_tx);
 
-        // ---- stage 1b: frame filters (single thread, frame order) --------
-        {
-            let filtered_tx = filtered_tx.clone();
-            let (cancel, stages, error, decoded_rx, frames_processed) =
-                (&cancel, &stages, &error, &decoded_rx, &frames_processed);
-            let dispatch = std::sync::Arc::clone(&dispatch);
-            let tracer = &tracer;
-            let filter_ops = &mut *filter_ops;
-            scope.spawn(move || {
-                let mut reorder = Reorder::new();
-                let mut reuse = crate::backend::reuse::ReuseCache::new(); // unused by filters
-                'outer: while let Some(b) = recv_coop(decoded_rx, cancel) {
-                    reorder.push(b);
-                    while let Some((seq, mut slots)) = reorder.pop_ready() {
-                        let outcome = contain("frame_filters", || {
-                            timed(&stages.frame_filters, || {
-                                let _span = tracer
-                                    .span("exec", "frame_filter")
-                                    .arg("batch", seq)
-                                    .arg("frames", slots.len());
-                                let mut ctx = ExecCtx {
-                                    dispatch: &*dispatch,
-                                    tracer,
-                                    zoo,
-                                    clock,
-                                    fps: source.fps(),
-                                    reuse: &mut reuse,
-                                    enable_reuse: config.enable_intrinsic_reuse,
-                                };
-                                for op in filter_ops.iter_mut() {
-                                    op.process_batch(&mut slots, &mut ctx)?;
-                                }
-                                Ok::<(), VqpyError>(())
-                            })
-                        });
-                        if let Err(e) = outcome {
-                            set_error(error, cancel, e);
-                            break 'outer;
-                        }
-                        frames_processed.fetch_add(
-                            slots.iter().filter(|s| s.alive).count() as u64,
-                            Ordering::Relaxed,
-                        );
-                        if !send_coop(&filtered_tx, (seq, slots), cancel) {
-                            break 'outer;
-                        }
-                    }
-                }
-            });
-        }
-        drop(filtered_tx);
-
-        // ---- stage 2: detect workers (parallel, unordered) ---------------
-        for detect_ops in detect_ops_per_worker.iter_mut() {
-            let detected_tx = detected_tx.clone();
-            let (cancel, stages, error, filtered_rx) = (&cancel, &stages, &error, &filtered_rx);
-            let dispatch = std::sync::Arc::clone(&dispatch);
-            let tracer = &tracer;
-            scope.spawn(move || {
-                let mut reuse = crate::backend::reuse::ReuseCache::new(); // unused by detectors
-                while let Some((seq, mut slots)) = recv_coop(filtered_rx, cancel) {
-                    let outcome = contain("detect", || {
-                        timed(&stages.detect, || {
-                            let _span = tracer
-                                .span("exec", "detect")
-                                .arg("batch", seq)
-                                .arg("frames", slots.len());
-                            let mut ctx = ExecCtx {
-                                dispatch: &*dispatch,
-                                tracer,
-                                zoo,
-                                clock,
-                                fps: source.fps(),
-                                reuse: &mut reuse,
-                                enable_reuse: config.enable_intrinsic_reuse,
-                            };
-                            for op in detect_ops.iter_mut() {
-                                op.process_batch(&mut slots, &mut ctx)?;
-                            }
-                            Ok::<(), VqpyError>(())
-                        })
-                    });
-                    if let Err(e) = outcome {
-                        set_error(error, cancel, e);
-                        break;
-                    }
-                    if !send_coop(&detected_tx, (seq, slots), cancel) {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(detected_tx);
-
-        // ---- stage 3: track/prep (single thread, frame order) ------------
-        // Owns the stream's *real* reuse cache for the whole segment: the
-        // tracker, stateful windows, and intrinsic projections must see
-        // frames in order for results — and the cache's hit/eviction
-        // sequence — to stay byte-identical to sequential execution.
-        {
-            let prepped_tx = prepped_tx.clone();
-            let (cancel, stages, error, detected_rx) = (&cancel, &stages, &error, &detected_rx);
-            let dispatch = std::sync::Arc::clone(&dispatch);
-            let tracer = &tracer;
-            let prep_ops = &mut *prep_ops;
-            let reuse = &mut *reuse;
-            scope.spawn(move || {
-                let mut reorder = Reorder::new();
-                'outer: while let Some(b) = recv_coop(detected_rx, cancel) {
-                    reorder.push(b);
-                    while let Some((seq, mut slots)) = reorder.pop_ready() {
-                        let outcome = contain("track", || {
-                            timed(&stages.track, || {
-                                let _span = tracer
-                                    .span("exec", "track")
-                                    .arg("batch", seq)
-                                    .arg("frames", slots.len());
-                                let mut ctx = ExecCtx {
-                                    dispatch: &*dispatch,
-                                    tracer,
-                                    zoo,
-                                    clock,
-                                    fps: source.fps(),
-                                    reuse: &mut *reuse,
-                                    enable_reuse: config.enable_intrinsic_reuse,
-                                };
-                                for op in prep_ops.iter_mut() {
-                                    op.process_batch(&mut slots, &mut ctx)?;
-                                }
-                                Ok::<(), VqpyError>(())
-                            })
-                        });
-                        if let Err(e) = outcome {
-                            set_error(error, cancel, e);
-                            break 'outer;
-                        }
-                        if !send_coop(&prepped_tx, (seq, slots), cancel) {
-                            break 'outer;
-                        }
-                    }
-                }
-            });
-        }
-        drop(prepped_tx);
-
-        // ---- stage 4: enrich workers (parallel, unordered) ---------------
-        // Each worker owns one hoisted operator chain as a reusable
-        // workspace. The planner guarantees these ops are order-free and
-        // cache-free, so workers take batches as they come; the dummy
-        // reuse cache is never consulted.
-        for enrich_ops in enrich_ops_per_worker.iter_mut() {
-            let enriched_tx = enriched_tx.clone();
-            let (cancel, stages, error, prepped_rx) = (&cancel, &stages, &error, &prepped_rx);
-            let dispatch = std::sync::Arc::clone(&dispatch);
-            let tracer = &tracer;
-            scope.spawn(move || {
-                let mut reuse = crate::backend::reuse::ReuseCache::new(); // unused by enrich ops
-                while let Some((seq, mut slots)) = recv_coop(prepped_rx, cancel) {
-                    let outcome = contain("enrich", || {
-                        timed(&stages.enrich, || {
-                            let _span = tracer
-                                .span("exec", "enrich")
-                                .arg("batch", seq)
-                                .arg("frames", slots.len());
-                            let mut ctx = ExecCtx {
-                                dispatch: &*dispatch,
-                                tracer,
-                                zoo,
-                                clock,
-                                fps: source.fps(),
-                                reuse: &mut reuse,
-                                enable_reuse: config.enable_intrinsic_reuse,
-                            };
-                            for op in enrich_ops.iter_mut() {
-                                op.process_batch(&mut slots, &mut ctx)?;
-                            }
-                            Ok::<(), VqpyError>(())
-                        })
-                    });
-                    if let Err(e) = outcome {
-                        set_error(error, cancel, e);
-                        break;
-                    }
-                    if !send_coop(&enriched_tx, (seq, slots), cancel) {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(enriched_tx);
-
-        // ---- stage 5: tail (this thread, frame order) --------------------
-        // Joins and relation projections never touch the reuse cache (it
-        // lives with the prep thread for the segment), so the tail runs
-        // with a dummy.
-        let mut tail_reuse = crate::backend::reuse::ReuseCache::new();
-        let mut reorder = Reorder::new();
-        let tail_outcome: Result<()> = contain("tail", || {
-            loop {
-                let msg = match enriched_rx.recv_timeout(RECV_POLL) {
-                    Ok(m) => m,
-                    Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                        if cancel.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        continue;
-                    }
-                    Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
+        for (i, chains) in lanes.into_iter().enumerate() {
+            let stage = FED[i];
+            for chain in chains {
+                let (rx, tx) = (&rxs[i], txs[i + 1].clone());
+                let (ctl, frames_processed) = (&ctl, &frames_processed);
+                let shared = if stage == Stage::Track {
+                    track_reuse.take()
+                } else {
+                    None
                 };
-                reorder.push(msg);
-                while let Some((seq, mut slots)) = reorder.pop_ready() {
-                    metrics.frames_total += slots.len() as u64;
-                    timed(&stages.tail, || {
-                        let _span = tracer
-                            .span("exec", "tail")
-                            .arg("batch", seq)
-                            .arg("frames", slots.len());
-                        let mut ctx = ExecCtx {
-                            dispatch: &*dispatch,
-                            tracer: &tracer,
-                            zoo,
-                            clock,
-                            fps: source.fps(),
-                            reuse: &mut tail_reuse,
-                            enable_reuse: config.enable_intrinsic_reuse,
-                        };
-                        for op in tail_ops.iter_mut() {
-                            op.process_batch(&mut slots, &mut ctx)?;
+                scope.spawn(move || {
+                    let mut stand_in = ReuseCache::new();
+                    let reuse = shared.unwrap_or(&mut stand_in);
+                    let body = |(seq, slots): &mut Batch| {
+                        runner.run(stage, start(*seq), chain, slots, reuse)?;
+                        if stage == Stage::FrameFilters {
+                            // Frames alive past the frame filters count as
+                            // processed.
+                            let alive = slots.iter().filter(|s| s.alive).count();
+                            frames_processed.fetch_add(alive as u64, Ordering::Relaxed);
                         }
-                        Ok::<(), VqpyError>(())
-                    })?;
-                    for slot in &slots {
-                        sink.on_frame(plan, slot)?;
-                    }
-                    let _ = recycle_tx.send(slots); // decode may have exited
-                }
+                        Ok(())
+                    };
+                    pump(stage, rx, ctl, body, |b| send_coop(&tx, b, &ctl.cancel));
+                });
             }
-            Ok(())
-        });
-        if let Err(e) = tail_outcome {
-            set_error(&error, &cancel, e);
         }
+        drop(txs);
+
+        // Tail (this thread, frame order): joins and relation projections,
+        // then delivery to the sink.
+        let mut stand_in = ReuseCache::new();
+        let body = |(seq, slots): &mut Batch| {
+            metrics.frames_total += slots.len() as u64;
+            runner.run(Stage::Tail, start(*seq), tail, slots, &mut stand_in)?;
+            slots
+                .iter()
+                .try_for_each(|slot| sink.on_frame(runner.plan, slot))
+        };
+        let recycle = |(_, slots): Batch| {
+            let _ = recycle_tx.send(slots); // decode may have exited
+            true
+        };
+        pump(Stage::Tail, &rxs[FED.len() - 1], &ctl, body, recycle);
         // Unblock any worker still parked on a full channel.
-        cancel.store(true, Ordering::Relaxed);
-        drop(enriched_rx);
+        ctl.cancel.store(true, Ordering::Relaxed);
     });
 
-    if let Some(e) = error.into_inner() {
+    if let Some(e) = ctl.error.into_inner() {
         return Err(e);
     }
-
-    metrics.frames_processed += frames_processed.load(Ordering::Relaxed);
-    metrics.decode_failures += decode_failures.load(Ordering::Relaxed);
-    let ns = |a: &AtomicU64| a.load(Ordering::Relaxed) as f64 / 1e6;
-    metrics.add_stage_wall("decode", ns(&stages.decode));
-    metrics.add_stage_wall("frame_filters", ns(&stages.frame_filters));
-    metrics.add_stage_wall("detect", ns(&stages.detect));
-    metrics.add_stage_wall("track", ns(&stages.track));
-    metrics.add_stage_wall("enrich", ns(&stages.enrich));
-    metrics.add_stage_wall("tail", ns(&stages.tail));
+    metrics.frames_processed += frames_processed.into_inner();
+    // Every batch reached the tail, so each frame of the segment that the
+    // tail did not see failed to decode.
+    metrics.decode_failures += (end - first) - (metrics.frames_total - delivered_before);
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::backend::exec::{execute_plan, ExecMode};
+    use crate::backend::exec::{execute_plan, ExecConfig, ExecMode};
     use crate::backend::plan::{build_plan, PlanOptions};
     use crate::frontend::library;
     use crate::frontend::predicate::Pred;
@@ -627,41 +415,39 @@ mod tests {
         let zoo = ModelZoo::standard();
         let v = SyntheticVideo::new(Scene::generate(presets::jackson(), 7, 5.0));
         let plan = build_plan(&[red_car_query()], &zoo, &PlanOptions::vqpy_default()).unwrap();
-        let clock = vqpy_models::Clock::new();
-        let results = execute_plan(
-            &plan,
-            &v,
-            &zoo,
-            &clock,
-            &ExecConfig {
-                exec_mode: ExecMode::Pipelined { workers: 2 },
+        // Both drivers time every stage through the same runner.
+        for exec_mode in [ExecMode::Sequential, ExecMode::Pipelined { workers: 2 }] {
+            let clock = vqpy_models::Clock::new();
+            let config = ExecConfig {
+                exec_mode,
                 ..ExecConfig::default()
-            },
-        )
-        .unwrap();
-        let stages: Vec<&str> = results[0]
-            .metrics
-            .stage_wall_ms
-            .iter()
-            .map(|(n, _)| n.as_str())
-            .collect();
-        assert_eq!(
-            stages,
-            vec![
-                "decode",
-                "frame_filters",
-                "detect",
-                "track",
-                "enrich",
-                "tail",
-                "total"
-            ]
-        );
-        assert!(results[0]
-            .metrics
-            .stage_wall_ms
-            .iter()
-            .all(|(_, ms)| *ms >= 0.0));
+            };
+            let results = execute_plan(&plan, &v, &zoo, &clock, &config).unwrap();
+            let stages: Vec<&str> = results[0]
+                .metrics
+                .stage_wall_ms
+                .iter()
+                .map(|(n, _)| n.as_str())
+                .collect();
+            assert_eq!(
+                stages,
+                vec![
+                    "decode",
+                    "frame_filters",
+                    "detect",
+                    "track",
+                    "enrich",
+                    "tail",
+                    "total"
+                ],
+                "{exec_mode:?}"
+            );
+            assert!(results[0]
+                .metrics
+                .stage_wall_ms
+                .iter()
+                .all(|(_, ms)| *ms >= 0.0));
+        }
     }
 
     #[test]

@@ -90,7 +90,7 @@ pub use subscription::{
     ServeEvent, StoreFaultNotice, StreamFault, Subscription, SubscriptionClosed, SubscriptionId,
 };
 pub use supervisor::{
-    AttachError, LoadSnapshot, PaceMetrics, PaceMode, ServePolicy, StreamLoad, StreamSupervisor,
+    AttachError, LoadSnapshot, PaceMode, ServePolicy, StreamLoad, StreamSupervisor,
     SupervisorConfig,
 };
 pub use typed::{TypedServeEvent, TypedSubscription};

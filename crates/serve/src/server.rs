@@ -408,7 +408,7 @@ impl ActiveSub {
         ));
         Self {
             id: p.id,
-            accum: QueryAccum::for_query(&p.query),
+            accum: QueryAccum::new(&p.query),
             query: p.query,
             tx: p.tx,
             connected: true,
@@ -765,8 +765,8 @@ impl StreamServer {
     /// [`ClockMode::Virtual`] (no real time passes during model charges),
     /// span timestamps are rebound to the clock's virtual-microsecond
     /// tick, so the exported timeline reflects modeled cost rather than
-    /// meaningless wall gaps. `Busy` and `Latency` modes really elapse,
-    /// so their wall timestamps are already honest.
+    /// meaningless wall gaps. `Latency` mode really elapses, so its wall
+    /// timestamps are already honest.
     pub fn new(session: Arc<VqpySession>, config: ServeConfig) -> Self {
         let tracer = config.telemetry.tracer();
         if tracer.is_enabled() {
@@ -1086,7 +1086,7 @@ impl StreamServer {
             if let Some(pos) = s.subs.iter().position(|a| a.id == id) {
                 let mut sub = s.subs.remove(pos);
                 // The accumulator is per-query state, final at detach.
-                let video_value = sub.accum.video_value_for(&sub.query);
+                let video_value = sub.accum.video_value(&sub.query);
                 sub.deliver(
                     ServeEvent::Detached { video_value },
                     self.config.backpressure,
@@ -1116,10 +1116,9 @@ impl StreamServer {
         }
         commands.detach.clear();
         drop(commands);
-        if let Some(engine) = &s.engine {
-            let joins = engine.plan().joins.clone();
-            for (i, mut sub) in s.subs.drain(..).enumerate() {
-                let video_value = joins.get(i).and_then(|j| sub.accum.video_value(j));
+        if s.engine.is_some() {
+            for mut sub in s.subs.drain(..) {
+                let video_value = sub.accum.video_value(&sub.query);
                 sub.deliver(
                     ServeEvent::End { video_value },
                     self.config.backpressure,
@@ -1658,7 +1657,7 @@ impl StreamServer {
         ended: bool,
     ) -> ServeResult<StepOutcome> {
         if let Some(mut sub) = r.sub.take() {
-            let video_value = sub.accum.video_value_for(&sub.query);
+            let video_value = sub.accum.video_value(&sub.query);
             let event = if ended {
                 ServeEvent::End { video_value }
             } else {
@@ -1751,9 +1750,6 @@ impl StreamServer {
             ..AggregateMetrics::default()
         };
         for h in &streams {
-            if h.finished.load(Ordering::Acquire) {
-                agg.finished_streams += 1;
-            }
             agg.frames_total += h.published_frames.load(Ordering::Relaxed);
             agg.delivered += h.published_delivered.load(Ordering::Relaxed);
             agg.dropped += h.published_dropped.load(Ordering::Relaxed);
@@ -1764,7 +1760,7 @@ impl StreamServer {
     /// One stream's published load counters — (frames executed, events
     /// delivered, events dropped), as of its last step boundary. Like
     /// [`StreamServer::aggregate`], never waits on the execution lock.
-    pub fn stream_counters(&self, stream: StreamId) -> ServeResult<(u64, u64, u64)> {
+    pub(crate) fn stream_counters(&self, stream: StreamId) -> ServeResult<(u64, u64, u64)> {
         let h = self.handle(stream)?;
         Ok((
             h.published_frames.load(Ordering::Relaxed),

@@ -21,7 +21,7 @@
 //!   step's frames would have arrived, over a bounded backlog of
 //!   due-but-unexecuted steps (the ingest queue). If the engine falls
 //!   further behind than the bound, the overflow is *shed*: counted in
-//!   [`PaceMetrics::ticks_shed`], visible to admission control, and no
+//!   [`StreamLoad::ticks_shed`], visible to admission control, and no
 //!   frames are lost — sources are pull-based, the stream just lags its
 //!   schedule.
 //! - **Cross-stream model batching** — with
@@ -271,19 +271,6 @@ pub struct StreamLoad {
     /// Events dropped by `Backpressure::Drop`, as of the last step
     /// boundary.
     pub dropped: u64,
-}
-
-/// Pacing observability for one supervised stream.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PaceMetrics {
-    /// The stream's pace mode.
-    pub pace: PaceMode,
-    /// Due-but-unexecuted steps right now (0 for unpaced streams).
-    pub queue_depth: u64,
-    /// Steps shed because the backlog overflowed the ingest queue.
-    pub ticks_shed: u64,
-    /// Whether the stream reached end-of-video.
-    pub finished: bool,
 }
 
 /// Supervisor configuration. Execution itself still follows the owning
@@ -715,20 +702,6 @@ impl StreamSupervisor {
             load.faults = b.stats().faults;
         }
         load
-    }
-
-    /// Pacing counters for one supervised stream.
-    pub fn pace_metrics(&self, stream: StreamId) -> ServeResult<PaceMetrics> {
-        let streams = self.streams.lock();
-        let e = streams
-            .get(&stream)
-            .ok_or(ServeError::UnknownStream(stream))?;
-        Ok(PaceMetrics {
-            pace: e.pace,
-            queue_depth: e.shared.queue_depth.load(Ordering::Relaxed),
-            ticks_shed: e.shared.ticks_shed.load(Ordering::Relaxed),
-            finished: e.shared.finished.load(Ordering::Acquire),
-        })
     }
 
     /// Serving metrics for one stream (delegates to the server).

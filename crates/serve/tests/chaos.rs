@@ -389,34 +389,39 @@ fn restart_budget_exhaustion_is_typed_and_counted() {
 /// counters, not stream aborts: the run completes, `decode_failures` is
 /// exact, and results on surviving frames are byte-identical to the clean
 /// run's (corruption at the stream tail, so stateful operators see an
-/// identical prefix).
+/// identical prefix) — in both exec modes.
 #[test]
 fn decode_faults_skip_frames_with_exact_accounting() {
-    let clean = video(85, 6.0);
-    let n = clean.frame_count();
-    let query = color_query("RedCar", "red");
+    for config in [SessionConfig::default(), SessionConfig::pipelined(2)] {
+        let clean = video(85, 6.0);
+        let n = clean.frame_count();
+        let query = color_query("RedCar", "red");
 
-    let offline = Arc::new(VqpySession::new(ModelZoo::standard()));
-    let expected = offline.execute(&query, &clean).unwrap();
-    let expected_prefix: Vec<_> = expected
-        .frame_hits
-        .iter()
-        .filter(|h| h.frame < n - 2)
-        .cloned()
-        .collect();
+        let offline = Arc::new(VqpySession::with_config(
+            ModelZoo::standard(),
+            config.clone(),
+        ));
+        let expected = offline.execute(&query, &clean).unwrap();
+        let expected_prefix: Vec<_> = expected
+            .frame_hits
+            .iter()
+            .filter(|h| h.frame < n - 2)
+            .cloned()
+            .collect();
 
-    let session = Arc::new(VqpySession::new(ModelZoo::standard()));
-    let server = Arc::new(session.serve(ServeConfig::default()));
-    let faulty = FaultyVideo::new(Arc::new(clean), [n - 2, n - 1]);
-    let stream = server.open_stream(Arc::new(faulty));
-    let sub = server.attach(stream, query).unwrap();
-    let metrics = server.run_to_end(stream).unwrap();
-    let (hits, _) = sub.collect();
+        let session = Arc::new(VqpySession::with_config(ModelZoo::standard(), config));
+        let server = Arc::new(session.serve(ServeConfig::default()));
+        let faulty = FaultyVideo::new(Arc::new(clean), [n - 2, n - 1]);
+        let stream = server.open_stream(Arc::new(faulty));
+        let sub = server.attach(stream, query).unwrap();
+        let metrics = server.run_to_end(stream).unwrap();
+        let (hits, _) = sub.collect();
 
-    assert_eq!(metrics.decode_failures, 2, "both corrupt frames counted");
-    assert_eq!(metrics.frames_total, n - 2, "skips never count as frames");
-    assert_eq!(metrics.restarts, 0, "decode faults are not panics");
-    assert_eq!(hits, expected_prefix, "surviving frames must be identical");
+        assert_eq!(metrics.decode_failures, 2, "both corrupt frames counted");
+        assert_eq!(metrics.frames_total, n - 2, "skips never count as frames");
+        assert_eq!(metrics.restarts, 0, "decode faults are not panics");
+        assert_eq!(hits, expected_prefix, "surviving frames must be identical");
+    }
 }
 
 /// A detector that panics on exactly one `detect_batch` invocation —

@@ -167,7 +167,7 @@ fn paced_streams_match_solo_on_one_shard() {
     let mut shed = Vec::new();
     for (stream, subs) in streams {
         sup.join_stream(stream).unwrap();
-        shed.push(sup.pace_metrics(stream).unwrap().ticks_shed);
+        shed.push(sup.stream_snapshot(stream).unwrap().ticks_shed);
         sharded.push(
             subs.into_iter()
                 .flat_map(collect_events)

@@ -173,7 +173,7 @@ fn paced_ingestion_holds_the_schedule() {
         paced_wall > unpaced_wall,
         "pacing had no effect: {paced_wall:?} vs {unpaced_wall:?}"
     );
-    let pace = supervisor.pace_metrics(paced).unwrap();
+    let pace = supervisor.stream_snapshot(paced).unwrap();
     assert!(pace.finished);
     assert_eq!(
         pace.ticks_shed, 0,

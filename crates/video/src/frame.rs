@@ -122,7 +122,10 @@ impl PixelBuffer {
                 e.1[2] += p[2] as u32;
             }
         }
-        let (_, (n, sums)) = counts.into_iter().max_by_key(|(_, (n, _))| *n)?;
+        // Ties go to the larger quantized key: HashMap order varies from
+        // call to call, and the colour model must answer the same crop the
+        // same way every time.
+        let (_, (n, sums)) = counts.into_iter().max_by_key(|(key, (n, _))| (*n, *key))?;
         Some([
             (sums[0] / n) as u8,
             (sums[1] / n) as u8,
@@ -189,11 +192,9 @@ mod tests {
         assert_eq!(b.mean_rgb_in(&bbox), Some([100, 150, 200]));
     }
 
-    #[test]
-    fn dominant_rgb_prefers_majority() {
-        // Left half red, right half blue, crop over left 3/4: red dominates.
-        let w = 8u32;
-        let h = 4u32;
+    /// An 8x4 buffer (scale 8): left half red, right half blue.
+    fn red_blue_halves() -> PixelBuffer {
+        let (w, h) = (8u32, 4u32);
         let mut data = Vec::new();
         for _y in 0..h {
             for x in 0..w {
@@ -204,10 +205,26 @@ mod tests {
                 }
             }
         }
-        let b = PixelBuffer::from_rgb(w, h, 8, data);
+        PixelBuffer::from_rgb(w, h, 8, data)
+    }
+
+    #[test]
+    fn dominant_rgb_prefers_majority() {
+        // Crop over the left 3/4: red dominates.
         let crop = BBox::new(0.0, 0.0, 48.0, 32.0); // 6x4 buffer pixels
-        let rgb = b.dominant_rgb_in(&crop).unwrap();
+        let rgb = red_blue_halves().dominant_rgb_in(&crop).unwrap();
         assert!(rgb[0] > rgb[2], "expected red-dominant, got {rgb:?}");
+    }
+
+    #[test]
+    fn dominant_rgb_breaks_ties_deterministically() {
+        // The whole buffer: red and blue are equally frequent. The larger
+        // quantized key (red's) wins on every call.
+        let b = red_blue_halves();
+        let crop = BBox::new(0.0, 0.0, 64.0, 32.0);
+        for _ in 0..20 {
+            assert_eq!(b.dominant_rgb_in(&crop), Some([200, 0, 0]));
+        }
     }
 
     #[test]
